@@ -3,14 +3,16 @@
 //!
 //! The journal frame format, the columnar store header, and the external
 //! sorter's run framing all serialize lengths and offsets as fixed-width
-//! integers. A bare `expr as u32` silently truncates when the value
-//! outgrows the target — exactly the kind of corruption the CRC layer can
-//! no longer distinguish from disk damage, because the truncated value was
-//! *written* wrong. C1 bans `as` casts to integer types in those crates:
-//! use `From`/`try_from` for provably-lossless conversions, route real
-//! failures through the crate's error type, or call an explicit truncation
-//! helper whose contract documents why the value fits (the helper carries
-//! the one audited `lint:allow(lossy_cast)`).
+//! integers, and the checkpoint codec (`er-core`'s `checkpoint.rs`) reads
+//! decimal integers into `usize` and `u32` fields. A bare `expr as u32`
+//! silently truncates when the value outgrows the target — exactly the
+//! kind of corruption the CRC layer can no longer distinguish from disk
+//! damage, because the truncated value was *written* wrong. C1 bans `as`
+//! casts to integer types in those files: use `From`/`try_from` for
+//! provably-lossless conversions, route real failures through the crate's
+//! error type, or call an explicit truncation helper whose contract
+//! documents why the value fits (the helper carries the one audited
+//! `lint:allow(lossy_cast)`).
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::is_ident;

@@ -17,7 +17,8 @@
 //! |`safety_comment`| U1: every `unsafe` block/fn/impl carries a `// SAFETY:`       |
 //! |             | justification (see [`crate::safety`])                            |
 //! | `lossy_cast`| C1: no bare `as` integer casts in codec/framing code             |
-//! |             | (`journal`, `store`, `extsort.rs` — see [`crate::casts`])        |
+//! |             | (`journal`, `store`, `extsort.rs`, er-core's `checkpoint.rs` —   |
+//! |             | see [`crate::casts`])                                            |
 //!
 //! Each rule detects *sinks* on every non-exempt file; whether a sink
 //! becomes a diagnostic is decided by scope. The legacy file/crate scoping
@@ -252,7 +253,8 @@ pub(crate) fn collect_sinks(
     // the serialized artifact, so only the framing/codec code is in scope.
     let c1_scope = scope.crate_dir == "journal"
         || scope.crate_dir == "store"
-        || (scope.crate_dir == "mapreduce" && scope.file_name == "extsort.rs");
+        || (scope.crate_dir == "mapreduce" && scope.file_name == "extsort.rs")
+        || (scope.crate_dir == "er-core" && scope.file_name == "checkpoint.rs");
     if c1_scope {
         let mut raw = Vec::new();
         crate::casts::rule_lossy_cast(path, tokens, mask, &mut raw);
@@ -1141,6 +1143,16 @@ mod tests {
         let rules = rules_of("crates/simil/src/x.rs", src);
         assert!(rules.contains(&"allow_reason".to_string()), "{rules:?}");
         assert!(rules.contains(&"allow_unknown".to_string()), "{rules:?}");
+    }
+
+    #[test]
+    fn lossy_cast_covers_the_checkpoint_codec_only_in_er_core() {
+        let src = "fn f(n: u64) -> u32 { n as u32 }\n\
+                   fn g(n: u64) -> Result<u32, E> { u32::try_from(n).map_err(E::from) }";
+        let diags = lint_source("crates/er-core/src/checkpoint.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule.as_str(), diags[0].line), ("lossy_cast", 1));
+        assert!(rules_of("crates/er-core/src/durable.rs", src).is_empty());
     }
 
     #[test]

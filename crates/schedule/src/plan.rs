@@ -2,10 +2,9 @@
 //! updated as the generator splits sub-trees, and the final [`Schedule`].
 
 use pper_blocking::{FamilyIndex, NodeStats, TreeStats};
-use serde::{Deserialize, Serialize};
 
 /// One block inside a [`PlanTree`], carrying both structure and estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanNode {
     /// Blocking key.
     pub key: String,
@@ -69,7 +68,7 @@ impl PlanNode {
 
 /// A schedulable tree: possibly an original root tree, possibly a sub-tree
 /// split off by the generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanTree {
     /// Blocking family.
     pub family: FamilyIndex,
@@ -208,7 +207,7 @@ impl PlanTree {
 }
 
 /// Reference to one block within a [`Schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRef {
     /// Index into `Schedule::trees`.
     pub tree: usize,
@@ -218,7 +217,7 @@ pub struct BlockRef {
 
 /// The complete progressive schedule: the output of §IV, consumed by the
 /// second MR job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// All trees, including any split sub-trees (appended after originals).
     pub trees: Vec<PlanTree>,

@@ -6,21 +6,32 @@
 //! warms the scratch to its high-water mark, snapshots the allocation
 //! counter, runs thousands of pair comparisons, and asserts the counter
 //! never moved. (This file is its own integration-test binary because a
-//! global allocator is process-wide.)
+//! global allocator is process-wide.) The counter is per thread, so tests
+//! running side by side on the harness's threads do not see each other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pper_simil::{AttributeSim, MatchRule, PreparedRule, SimScratch, TokenInterner, WeightedAttr};
 
-/// System allocator wrapper counting every allocation and reallocation.
+/// System allocator wrapper counting every allocation and reallocation
+/// made by the calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so reading it never
+    // allocates and works at any point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,8 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A rule exercising every kernel at once.
