@@ -47,8 +47,8 @@ use crate::rule::AttributeSim;
 /// allocates nothing per block.
 #[derive(Debug, Default)]
 pub struct BlockScorer {
-    /// Scalar-kernel scratch for fallback terms (Jaro, q-gram, DP
-    /// Levenshtein, ...).
+    /// Scalar-kernel scratch for fallback terms (Jaro, q-gram, Levenshtein
+    /// with a probe over 64 chars or non-ASCII, ...).
     scratch: SimScratch,
     /// The probe's prebuilt Myers table. Deliberately separate from
     /// `scratch.kernels`' table: a scalar fallback inside a batched
@@ -478,6 +478,29 @@ mod tests {
             probe_sel in 0usize..64,
         ) {
             let rows: Vec<Vec<String>> = rows;
+            let probe_idx = probe_sel % rows.len();
+            assert_block_parity(&mixed_rule(), &rows, probe_idx);
+        }
+
+        #[test]
+        fn prop_block_parity_long_ascii(
+            base in "[a-d ]{65,300}",
+            rows in proptest::collection::vec(
+                ("[a-d ]{0,60}", 0usize..60, proptest::collection::vec("[a-e ]{0,20}", 5..6)),
+                2..10),
+            probe_sel in 0usize..64,
+        ) {
+            // Near-duplicate long titles: a shared >64-char ASCII base, cut
+            // and extended per row, so probes and candidates take the
+            // blocked Myers kernel on both sides of every pairing.
+            let rows: Vec<Vec<String>> = rows
+                .into_iter()
+                .map(|(suffix, cut, rest)| {
+                    let mut row = vec![format!("{}{suffix}", &base[..base.len() - cut])];
+                    row.extend(rest);
+                    row
+                })
+                .collect();
             let probe_idx = probe_sel % rows.len();
             assert_block_parity(&mixed_rule(), &rows, probe_idx);
         }

@@ -1,7 +1,9 @@
 //! Levenshtein edit distance: classic two-row DP plus a banded variant with
-//! an early-exit bound, which is what the hot resolve path uses (pairs whose
-//! distance exceeds the decision-relevant bound can be rejected without
-//! filling the whole matrix).
+//! an early-exit bound (pairs whose distance exceeds the bound are rejected
+//! without filling the whole matrix). The banded variant is public API used
+//! by tests and benches only; the prepared resolve path runs Myers'
+//! bit-parallel kernels on ASCII input and this module's two-row DP
+//! otherwise.
 
 /// Unbounded Levenshtein distance between `a` and `b` (Unicode scalar
 /// values, two-row dynamic program, O(|a|·|b|) time, O(min) space).

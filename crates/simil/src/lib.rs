@@ -25,8 +25,9 @@
 //! allocation**. `score` is bit-identical to the string path; `matches`
 //! additionally early-exits in descending weight order once the decision
 //! is forced, while still returning identical decisions. Levenshtein terms
-//! use a Myers bit-parallel fast path for ASCII inputs whose shorter side
-//! fits one 64-bit word.
+//! on ASCII inputs use Myers' bit-parallel kernel: one 64-bit word when the
+//! shorter side fits in 64 chars, Hyyrö's blocked multi-word variant when
+//! it is longer.
 //!
 //! ```
 //! use pper_simil::{AttributeSim, MatchRule, WeightedAttr};

@@ -12,9 +12,10 @@
 //!   an is-ASCII flag), sorted interned token ids, a sorted q-gram id
 //!   multiset, the raw value for `Exact`, or the Soundex code.
 //! * [`PreparedRule`] — scores/matches two [`PreparedEntity`]s using a
-//!   reusable [`SimScratch`] (DP rows, Myers character-class table, Jaro
-//!   match buffers), so the per-pair path performs **zero heap
-//!   allocation** after scratch buffers reach their high-water mark.
+//!   reusable [`SimScratch`] (DP rows, Myers character-class tables and
+//!   delta vectors, Jaro match buffers), so the per-pair path performs
+//!   **zero heap allocation** after scratch buffers reach their high-water
+//!   mark.
 //! * [`TokenInterner`] — per-task string→id table shared by every entity a
 //!   task prepares; token/q-gram comparisons become sorted-id merges.
 //! * [`PreparedCache`] — a keyed memo (entity id → [`PreparedEntity`])
@@ -41,17 +42,18 @@
 //!   full score is re-accumulated in declaration order, making the
 //!   boundary comparison bit-identical to the string path.
 //!
-//! Levenshtein terms additionally take a Myers bit-parallel fast path
-//! (single `u64` block) when both capped buffers are ASCII and the shorter
-//! one fits in 64 characters, falling back to the existing two-row DP
-//! otherwise; both produce the same exact integer distance.
+//! Levenshtein terms on two ASCII buffers take Myers' bit-parallel kernel:
+//! one `u64` word when the shorter buffer fits in 64 characters, Hyyrö's
+//! blocked multi-word kernel (⌈len/64⌉ words) when it is longer. Non-ASCII
+//! pairs take the two-row DP. All three produce the same exact integer
+//! distance.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::jaro::{jaro_winkler_chars_scratch, JaroScratch};
 use crate::levenshtein::levenshtein_chars_scratch;
-use crate::myers::myers_distance_ascii;
+use crate::myers::{myers_distance_ascii, MyersBlocks};
 use crate::phonetic::soundex;
 use crate::rule::{truncate, AttributeSim, MatchRule};
 use crate::tokens::qgrams;
@@ -135,11 +137,13 @@ impl PreparedEntity {
 /// reused, so a warm scratch makes pair comparison allocation-free.
 #[derive(Debug)]
 pub(crate) struct KernelScratch {
-    /// Two-row DP buffer for the Levenshtein fallback.
+    /// Two-row DP buffer for Levenshtein pairs with a non-ASCII side.
     row: Vec<usize>,
     /// Myers character-class table (filled and re-cleared per call by
     /// touching only the pattern's characters).
     peq: Box<[u64; 128]>,
+    /// Blocked Myers tables and delta vectors for patterns over 64 chars.
+    blocks: MyersBlocks,
     /// Jaro match/transposition buffers.
     jaro: JaroScratch,
 }
@@ -149,6 +153,7 @@ impl Default for KernelScratch {
         Self {
             row: Vec::new(),
             peq: Box::new([0u64; 128]),
+            blocks: MyersBlocks::default(),
             jaro: JaroScratch::default(),
         }
     }
@@ -422,6 +427,8 @@ pub(crate) fn term_score(
                 long.len()
             } else if *aa && *ab && short.len() <= 64 {
                 myers_distance_ascii(short, long, &mut s.peq)
+            } else if *aa && *ab {
+                s.blocks.distance(short, long)
             } else {
                 levenshtein_chars_scratch(ca, cb, &mut s.row)
             };
@@ -621,7 +628,8 @@ mod tests {
 
     #[test]
     fn myers_and_fallback_pick_same_distances() {
-        // >64-char ASCII strings must hit the DP fallback and still agree.
+        // >64-char ASCII strings take the blocked Myers kernel (three
+        // words here) and must agree with the string path's DP.
         let long_a =
             "the quick brown fox jumps over the lazy dog again and again forever".repeat(2);
         let long_b = long_a.replace("quick", "quik");
@@ -644,7 +652,7 @@ mod tests {
             pr.score(&pa, &pb, &mut scratch).to_bits(),
             rule.score(&sa, &sb).to_bits()
         );
-        // Unicode forces the fallback too.
+        // Unicode forces the DP.
         let sa = vec!["café au lait".to_string()];
         let sb = vec!["cafe au lait".to_string()];
         let pa = pr.prepare(&sa, &mut interner);

@@ -1,8 +1,9 @@
 //! Property-based parity suite: the prepared path must reproduce the
 //! string path exactly — bit-identical `score` values and identical
 //! `matches` decisions — across all six [`AttributeSim`] kernels,
-//! including Unicode inputs and strings past the 64-char Myers limit
-//! (which exercise the DP fallback).
+//! including Unicode inputs (which take the Levenshtein DP) and ASCII
+//! strings on both sides of the 64-char boundary between the single-word
+//! and blocked Myers kernels.
 
 use proptest::prelude::*;
 
@@ -96,12 +97,13 @@ proptest! {
         assert_parity(&rule, &a, &b);
     }
 
-    // Long ASCII strings (> 64 chars) on an uncapped Levenshtein term hit
-    // the DP fallback; near the boundary both sides of the 64 limit occur.
+    // ASCII strings of 50–400 chars on an uncapped Levenshtein term: the
+    // shorter side ranges from one Myers word through seven blocked words,
+    // crossing every word boundary in between.
     #[test]
     fn myers_fallback_boundary(
-        a in "[a-d]{50,90}",
-        b in "[a-d]{50,90}",
+        a in "[a-d]{50,400}",
+        b in "[a-d]{50,400}",
         threshold in 0.0f64..1.0,
     ) {
         let rule = MatchRule::new(

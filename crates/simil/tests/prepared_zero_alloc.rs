@@ -53,7 +53,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A rule exercising every kernel at once.
+/// A rule exercising every kernel at once, with Levenshtein on a title
+/// (single-word Myers) and on a 200–350-char abstract (blocked Myers).
 fn six_kernel_rule() -> MatchRule {
     MatchRule::new(
         vec![
@@ -69,6 +70,13 @@ fn six_kernel_rule() -> MatchRule {
             WeightedAttr::new(3, 0.15, AttributeSim::QGram { q: 2 }),
             WeightedAttr::new(4, 0.10, AttributeSim::Exact),
             WeightedAttr::new(5, 0.10, AttributeSim::Soundex),
+            WeightedAttr::new(
+                6,
+                0.10,
+                AttributeSim::Levenshtein {
+                    max_chars: Some(350),
+                },
+            ),
         ],
         0.8,
     )
@@ -82,7 +90,26 @@ fn entity(i: usize) -> Vec<String> {
         format!("qgram material {i} with shared substrings"),
         format!("cat{}", i % 3),
         format!("Robertson{i}"),
+        abstract_text(i),
     ]
+}
+
+/// An ASCII abstract of 200–350 chars, varying per entity.
+fn abstract_text(i: usize) -> String {
+    let words: Vec<&str> =
+        "we present a progressive approach to entity resolution on mapreduce that emits duplicates early"
+            .split(' ')
+            .collect();
+    let len = 200 + (i * 37) % 151;
+    let mut text = String::new();
+    let mut k = i;
+    while text.len() < len {
+        text.push_str(words[k % words.len()]);
+        text.push(' ');
+        k += 3;
+    }
+    text.truncate(len);
+    text
 }
 
 #[test]
