@@ -1,20 +1,19 @@
-//! Executor-backend benchmark: wall-clock scaling of the three task-dispatch
-//! backends (`cursor`, `chunked:K`, `stealing`) across thread counts and
-//! workload shapes. Emits `BENCH_exec.json` so `bench_check` can gate
-//! scaling regressions in CI.
+//! Task-dispatch benchmark: wall-clock scaling of `exec::dispatch` (the
+//! adaptive-chunk cursor pool) across thread counts and workload shapes.
+//! Emits `BENCH_exec.json` so `bench_check` can gate dispatch regressions
+//! in CI. Records are named `<workload>/cursor@<threads>`.
 //!
 //! Workloads:
 //!
 //! * `uniform` — equal-cost tasks; measures raw dispatch overhead and
-//!   scaling. No backend should lose here.
-//! * `skewed`  — one task dominates (Zipf-ish tail); the shape where
-//!   work-stealing rebalances what static chunking cannot.
-//! * `tiny`    — thousands of near-empty tasks; the shape where the
-//!   historical one-`fetch_add`-per-task cursor (`chunked:1`) pays one
-//!   contended RMW per task and the adaptive chunked claim (`cursor`)
-//!   amortizes it away.
-//! * `spill`   — an end-to-end spilling MapReduce job driven through
-//!   `JobConfig::executor`, so the gate also covers the real runtime path.
+//!   scaling.
+//! * `skewed`  — one task dominates (Zipf-ish tail); dynamic chunk claims
+//!   keep the other workers busy while it runs.
+//! * `tiny`    — thousands of near-empty tasks; the shape where a
+//!   one-`fetch_add`-per-task claim would pay one contended RMW per task
+//!   and the adaptive chunk amortizes it away.
+//! * `spill`   — an end-to-end spilling MapReduce job, so the gate also
+//!   covers the real runtime path.
 //!
 //! ```sh
 //! cargo run --release -p pper-bench --bin bench_exec -- --quick
@@ -24,13 +23,6 @@ use std::time::Instant;
 
 use pper_bench::{BenchRecord, BenchReport, ExpOptions};
 use pper_mapreduce::prelude::*;
-
-const BACKENDS: &[ExecutorKind] = &[
-    ExecutorKind::Cursor,
-    ExecutorKind::Chunked(1),
-    ExecutorKind::Chunked(16),
-    ExecutorKind::WorkStealing,
-];
 
 const THREADS: &[usize] = &[1, 2, 8];
 
@@ -45,23 +37,22 @@ fn busy(iters: u64) -> u64 {
     x
 }
 
-/// Time `kind` dispatching `costs.len()` tasks whose per-task busy work is
-/// given by `costs`, at `threads` workers.
-fn time_dispatch(kind: ExecutorKind, threads: usize, costs: &[u64]) -> std::time::Duration {
+/// Time dispatching `costs.len()` tasks whose per-task busy work is given
+/// by `costs`, at `threads` workers.
+fn time_dispatch(threads: usize, costs: &[u64]) -> std::time::Duration {
     // One warmup keeps thread spawn-up jitter out of the timed run.
-    kind.run(costs.len(), threads, &|i| {
+    dispatch(costs.len(), threads, &|i| {
         std::hint::black_box(busy(costs[i]));
     });
     let start = Instant::now();
-    kind.run(costs.len(), threads, &|i| {
+    dispatch(costs.len(), threads, &|i| {
         std::hint::black_box(busy(costs[i]));
     });
     start.elapsed()
 }
 
-/// Wordcount-shaped spilling job over a skewed corpus, dispatched through
-/// `JobConfig::executor` — the full runtime path (map, spilling shuffle,
-/// reduce), not just the raw dispatch loop.
+/// Wordcount-shaped spilling job over a skewed corpus — the full runtime
+/// path (map, spilling shuffle, reduce), not just the raw dispatch loop.
 struct WordMapper;
 impl Mapper for WordMapper {
     type Input = String;
@@ -92,10 +83,9 @@ impl Reducer for Sum {
     }
 }
 
-fn time_spill_job(kind: ExecutorKind, threads: usize, corpus: &[String]) -> std::time::Duration {
+fn time_spill_job(threads: usize, corpus: &[String]) -> std::time::Duration {
     let mut cfg = JobConfig::new("bench-exec-spill", ClusterSpec::paper(4));
     cfg.worker_threads = Some(threads);
-    cfg.executor = kind;
     let spill = ShuffleSpillConfig::new(200);
     let run = || {
         run_job_spilling(&cfg, &WordMapper, &GroupReducer::new(Sum), &spill, corpus)
@@ -141,7 +131,7 @@ fn main() -> std::io::Result<()> {
     let mut report = BenchReport::new(
         "exec",
         format!(
-            "executor backends × threads {THREADS:?} × workloads \
+            "cursor dispatch × threads {THREADS:?} × workloads \
              (uniform 256 tasks, skewed 64 tasks, tiny 4096 tasks, \
              spilling wordcount {} lines); ops = tasks (lines for spill)",
             corpus.len()
@@ -149,40 +139,26 @@ fn main() -> std::io::Result<()> {
     );
 
     for (workload, costs) in [("uniform", &uniform), ("skewed", &skewed), ("tiny", &tiny)] {
-        for &kind in BACKENDS {
-            for &threads in THREADS {
-                let elapsed = time_dispatch(kind, threads, costs);
-                let name = format!("{workload}/{}@{threads}", kind.name());
-                eprintln!("{name}: {elapsed:?}");
-                report.push(BenchRecord::from_total(name, costs.len() as u64, elapsed));
-            }
+        for &threads in THREADS {
+            let elapsed = time_dispatch(threads, costs);
+            let name = format!("{workload}/cursor@{threads}");
+            eprintln!("{name}: {elapsed:?}");
+            report.push(BenchRecord::from_total(name, costs.len() as u64, elapsed));
         }
     }
-    for &kind in BACKENDS {
-        for &threads in THREADS {
-            let elapsed = time_spill_job(kind, threads, &corpus);
-            let name = format!("spill/{}@{threads}", kind.name());
-            eprintln!("{name}: {elapsed:?}");
-            report.push(BenchRecord::from_total(name, corpus.len() as u64, elapsed));
-        }
+    for &threads in THREADS {
+        let elapsed = time_spill_job(threads, &corpus);
+        let name = format!("spill/cursor@{threads}");
+        eprintln!("{name}: {elapsed:?}");
+        report.push(BenchRecord::from_total(name, corpus.len() as u64, elapsed));
     }
 
     for workload in ["uniform", "skewed", "tiny", "spill"] {
-        let cursor = ops(&report, &format!("{workload}/cursor@8"));
-        let stealing = ops(&report, &format!("{workload}/stealing@8"));
-        let chunked1 = ops(&report, &format!("{workload}/chunked:1@8"));
-        if cursor > 0.0 {
-            report.note(format!(
-                "{workload}@8: stealing/cursor = {:.2}x, chunked:1/cursor = {:.2}x",
-                stealing / cursor,
-                chunked1 / cursor
-            ));
+        let t1 = ops(&report, &format!("{workload}/cursor@1"));
+        let t8 = ops(&report, &format!("{workload}/cursor@8"));
+        if t1 > 0.0 {
+            report.note(format!("{workload}: 8-thread / 1-thread = {:.2}x", t8 / t1));
         }
-    }
-    let s1 = ops(&report, "skewed/stealing@1");
-    let s8 = ops(&report, "skewed/stealing@8");
-    if s1 > 0.0 {
-        report.note(format!("skewed stealing 8-thread scaling: {:.2}x", s8 / s1));
     }
 
     print!("{}", report.render_text());

@@ -247,7 +247,6 @@ impl BasicApproach {
         cfg.faults = self.er.faults.clone();
         cfg.speculation = self.er.speculation;
         cfg.observer = self.er.observer.clone();
-        cfg.executor = self.er.executor;
 
         let mapper = BasicMapper {
             families: &self.er.families,

@@ -154,11 +154,6 @@ pub struct ErConfig {
     /// histories, and exhaustion for the dead-letter queue. `None` (the
     /// default) observes nothing and costs nothing.
     pub observer: Option<pper_mapreduce::TaskObserver>,
-    /// Executor backend dispatching simulated tasks onto worker threads in
-    /// every MR job this config launches. Wall-clock scheduling only —
-    /// results are bit-identical across backends (see
-    /// `pper_mapreduce::exec`).
-    pub executor: pper_mapreduce::ExecutorKind,
     /// Memory budget for the statistics job's shuffle. `None` (the default)
     /// groups every partition in memory; `Some(cfg)` spills partitions
     /// larger than `cfg.max_partition_records` through an external sorter
@@ -214,7 +209,6 @@ impl ErConfig {
             shuffle_balance: None,
             use_prepared: true,
             observer: None,
-            executor: pper_mapreduce::ExecutorKind::default(),
             shuffle_spill: None,
         }
     }
@@ -252,7 +246,6 @@ impl ErConfig {
             shuffle_balance: None,
             use_prepared: true,
             observer: None,
-            executor: pper_mapreduce::ExecutorKind::default(),
             shuffle_spill: None,
         }
     }
@@ -285,12 +278,6 @@ impl ErConfig {
     /// configured record budget group through a disk-backed external sort.
     pub fn with_shuffle_spill(mut self, spill: pper_mapreduce::ShuffleSpillConfig) -> Self {
         self.shuffle_spill = Some(spill);
-        self
-    }
-
-    /// Select the executor backend for every MR job this config launches.
-    pub fn with_executor(mut self, executor: pper_mapreduce::ExecutorKind) -> Self {
-        self.executor = executor;
         self
     }
 

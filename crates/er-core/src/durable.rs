@@ -272,6 +272,13 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
     })
 }
 
+/// `s` as a JSON string literal, quotes and escapes included. The dataset
+/// name comes from the input file's header, so it may hold `"` or `\`.
+fn json_string(s: &str) -> String {
+    // Serializing a `str` cannot fail; the fallback is still valid JSON.
+    serde_json::to_string(s).unwrap_or_else(|_| "\"\"".to_string())
+}
+
 /// Finish a pipeline stage: surface parked journal errors, and on task
 /// exhaustion capture the observed tasks into the dead-letter queue with a
 /// JSON reprocessing context before failing.
@@ -307,16 +314,17 @@ fn finish_stage<T>(
                     *s += 1;
                     seq
                 };
-                task_names.push(format!("{}-{}", ex.kind.name(), ex.index));
+                let task = format!("{}-{}", ex.kind.name(), ex.index);
                 let context_json = format!(
-                    "{{\"stage\":\"{stage}\",\"dataset\":\"{}\",\"task\":\"{}-{}\",\
+                    "{{\"stage\":{},\"dataset\":{},\"task\":{},\
                      \"crash_at\":{},\"checkpoint_offset\":{}}}",
-                    ds.name,
-                    ex.kind.name(),
-                    ex.index,
+                    json_string(stage),
+                    json_string(&ds.name),
+                    json_string(&task),
                     crash_at.map_or_else(|| "null".to_string(), |c| format!("{c}")),
                     checkpoint_offset.map_or_else(|| "null".to_string(), |o| o.to_string()),
                 );
+                task_names.push(task);
                 shared.append(&JournalEvent::DeadLettered {
                     seq,
                     job: ex.job,

@@ -200,7 +200,6 @@ pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> 
     cfg.shuffle_balance = config.shuffle_balance;
     cfg.speculation = config.speculation;
     cfg.observer = config.observer.clone();
-    cfg.executor = config.executor;
 
     // The spilling path re-routes oversized shuffle partitions through a
     // disk-backed external sort; the grouped output is bit-identical to the

@@ -421,7 +421,6 @@ fn run_job2_inner(
     cfg.faults = config.faults.clone();
     cfg.speculation = config.speculation;
     cfg.observer = config.observer.clone();
-    cfg.executor = config.executor;
 
     let mapper = RouteMapper {
         families: &config.families,

@@ -206,3 +206,35 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
     // A second reprocess has nothing to drain.
     assert!(reprocess_dlq(&faulty, &ds, &store, "job-dlq", &opts(1_500.0)).is_err());
 }
+
+/// The dataset name comes from the input file's header, so the DLQ context
+/// must escape it: a name holding `"` and `\` still yields valid JSON that
+/// round-trips the name.
+#[test]
+fn dlq_context_escapes_dataset_name() {
+    let mut ds = dataset();
+    ds.name = r#"a"b\c"#.to_string();
+    let mut faulty = small_pipeline();
+    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
+
+    let store = MemStore::shared();
+    let err = run_durable(&faulty, &ds, &store, "job-dlq-name", &[], &opts(1_500.0))
+        .expect_err("exhausted task must fail the durable run");
+    assert!(matches!(err, DurableError::DeadLettered { .. }), "{err}");
+
+    let state = JournalState::replay(&recover(&store, "job-dlq-name").unwrap().events);
+    assert_eq!(state.dlq.len(), 1);
+    let context: DlqContext = serde_json::from_str(&state.dlq[0].context_json)
+        .unwrap_or_else(|e| panic!("invalid context JSON {}: {e}", state.dlq[0].context_json));
+    assert_eq!(context.dataset, r#"a"b\c"#);
+    assert_eq!(context.task, "reduce-0");
+    assert!(!context.stage.is_empty());
+}
+
+/// The string fields of a dead-letter entry's `context_json`.
+#[derive(serde::Deserialize)]
+struct DlqContext {
+    stage: String,
+    dataset: String,
+    task: String,
+}

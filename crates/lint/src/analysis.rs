@@ -172,15 +172,15 @@ mod tests {
     #[test]
     fn legacy_sinks_gain_the_chain_when_reachable() {
         let fs = files(&[(
-            "crates/mapreduce/src/runtime.rs",
-            "impl Executor for Pool { fn run(&self) { let t = Instant::now(); } }",
+            "crates/mapreduce/src/exec.rs",
+            "pub fn dispatch(count: usize) { let t = Instant::now(); }",
         )]);
         let full = analyze(&fs, &Options::default());
         assert_eq!(full.len(), 1);
         assert!(
             full[0]
                 .message
-                .contains("reachable from deterministic entry"),
+                .contains("reachable from deterministic entry via `dispatch`"),
             "{}",
             full[0].message
         );

@@ -80,8 +80,8 @@ mod tests {
             rules_of("crates/mapreduce/src/extsort.rs", src),
             vec!["lossy_cast"]
         );
-        // Elsewhere `as` stays legal (exec.rs packs ranges with `as` under
-        // its own loom-checked invariants).
+        // Elsewhere `as` stays legal: C1 is scoped to the codec and storage
+        // files, not the whole mapreduce crate.
         assert!(rules_of("crates/mapreduce/src/exec.rs", src).is_empty());
         assert!(rules_of("crates/er-core/src/basic.rs", src).is_empty());
     }

@@ -17,7 +17,7 @@
 //!   of the legacy scoping it parses every file into functions and calls
 //!   ([`parser`]), builds a cross-crate call graph ([`taint`]), and
 //!   promotes any sink *reachable* from a deterministic entry point
-//!   (map/reduce task bodies, `Executor::run`, the shuffle builders,
+//!   (map/reduce task bodies, task `dispatch`, the shuffle builders,
 //!   journal replay), reporting the full call chain in the diagnostic.
 //!
 //! Run it as `cargo run -p pper-lint -- crates/ src/` (add `--format json`

@@ -1054,8 +1054,8 @@ mod tests {
             rules_of("crates/mapreduce/src/shuffle.rs", src),
             vec!["panic_path"]
         );
-        // The executor backends dispatch every simulated task, so they are
-        // hot-path too.
+        // The task dispatcher runs every simulated task, so it is hot-path
+        // too.
         let src = "fn f(x: Option<u32>) -> u32 { x.expect(\"claimed\") }";
         assert_eq!(
             rules_of("crates/mapreduce/src/exec.rs", src),

@@ -1,8 +1,8 @@
 //! Cross-file call-graph taint propagation.
 //!
 //! The determinism invariants (rules D1–D5) protect whatever is *reachable*
-//! from the deterministic entry points — map/reduce task bodies,
-//! `Executor::run` dispatch, the shuffle builders, and journal replay — not
+//! from the deterministic entry points — map/reduce task bodies, task
+//! `dispatch`, the shuffle builders, and journal replay — not
 //! just whatever happens to live in a hot-path file. This module builds a
 //! whole-workspace call graph from the [`crate::parser`] output, marks the
 //! entry points, computes the reachable function set, and reports every
@@ -29,7 +29,6 @@ const ENTRY_TRAIT_METHODS: &[(&str, &str)] = &[
     ("Combiner", "combine"),
     ("Reducer", "reduce"),
     ("PartitionReducer", "reduce_partition"),
-    ("Executor", "run"),
 ];
 
 /// Inherent-method entry points, `(type, method)`: the shuffle builders and
@@ -42,12 +41,12 @@ const ENTRY_TYPE_METHODS: &[(&str, &str)] = &[
     ("JournalState", "replay"),
 ];
 
-/// Free-function entry points, `(crate_dir, fn_name)`.
+/// Free-function entry points, `(crate_dir, fn_name)`: the task
+/// dispatcher, the shuffle fan-outs, and journal recovery.
 const ENTRY_FREE_FNS: &[(&str, &str)] = &[
+    ("mapreduce", "dispatch"),
     ("mapreduce", "shuffle_partitions"),
-    ("mapreduce", "shuffle_partitions_with"),
     ("mapreduce", "shuffle_partitions_spilling"),
-    ("mapreduce", "shuffle_partitions_spilling_with"),
     ("journal", "recover"),
     ("journal", "read_event_at"),
 ];

@@ -1,11 +1,9 @@
-//@ path: crates/mapreduce/src/runtime.rs
-//! D3 multi-hop entry: an Executor body two calls above a relaxed atomic.
-//! Legacy scoping flags the sink too, but only the call-graph analysis
-//! names the entry point in the diagnostic.
-struct Pool;
-
-impl Executor for Pool {
-    fn run(&self) {
+//@ path: crates/mapreduce/src/exec.rs
+//! D3 multi-hop entry: the task dispatcher two calls above a relaxed
+//! atomic. Legacy scoping flags the sink too, but only the call-graph
+//! analysis names the entry point in the diagnostic.
+pub fn dispatch(count: usize) {
+    for _ in 0..count {
         drain();
     }
 }

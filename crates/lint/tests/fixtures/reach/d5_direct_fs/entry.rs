@@ -1,10 +1,10 @@
-//@ path: crates/schedule/src/exec.rs
-//! D5 multi-hop entry: an Executor body two calls above a direct `std::fs`
-//! write in a crate the legacy VFS scope never covered.
-struct Local;
+//@ path: crates/mapreduce/src/exec.rs
+//! D5 multi-hop entry: the task dispatcher two calls above a direct
+//! `std::fs` write in a crate the legacy VFS scope never covered.
+use pper_schedule::snapshot::persist;
 
-impl Executor for Local {
-    fn run(&self) {
+pub fn dispatch(count: usize) {
+    for _ in 0..count {
         persist();
     }
 }

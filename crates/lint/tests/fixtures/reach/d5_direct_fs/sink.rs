@@ -1,6 +1,6 @@
 //@ path: crates/schedule/src/snapshot.rs
 //! D5 multi-hop sink: `schedule` is outside the legacy direct_fs scope,
-//! so only reachability from the executor reports the bypassed VFS seam.
+//! so only reachability from the dispatcher reports the bypassed VFS seam.
 pub fn persist() {
     dump();
 }

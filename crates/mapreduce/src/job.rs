@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostClock, CostModel};
 use crate::counters::Counters;
-use crate::exec::ExecutorKind;
 use crate::faults::{FaultPlan, InjectedAbort, SpeculationConfig};
 use crate::loadbalance::ShuffleBalance;
 use crate::observe::TaskObserver;
@@ -124,12 +123,6 @@ pub struct JobConfig {
     /// [`crate::observe`] — so a journal built from the notifications is
     /// deterministic regardless of worker interleaving.
     pub observer: Option<TaskObserver>,
-    /// Executor backend dispatching simulated tasks (and shuffle grouping)
-    /// onto the worker threads. Every backend publishes into per-index
-    /// slots behind a barrier, so this knob affects wall-clock scheduling
-    /// only — results are bit-identical across backends (see
-    /// [`crate::exec`]).
-    pub executor: ExecutorKind,
 }
 
 impl JobConfig {
@@ -147,7 +140,6 @@ impl JobConfig {
             speculation: None,
             shuffle_balance: None,
             observer: None,
-            executor: ExecutorKind::default(),
         }
     }
 

@@ -27,9 +27,12 @@
 //!   that cuts a new result segment every `α` cost units, mirroring the
 //!   paper's incremental result-file production (§III-B).
 //!
-//! Real threads (via `std::thread::scope`) are used to execute simulated tasks, so
-//! wall-clock benefits of parallelism are also real; but all *reported*
-//! quantities derive from the virtual clocks.
+//! Real threads are used to execute simulated tasks: [`exec::dispatch`]
+//! runs every task phase and shuffle fan-out on a scoped pool that claims
+//! task indices from a shared cursor in adaptive chunks. Wall-clock
+//! benefits of parallelism are therefore real, but all *reported*
+//! quantities derive from the virtual clocks, and results are
+//! bit-identical at any thread count.
 //!
 //! ## Shuffle skew and load balancing
 //!
@@ -122,9 +125,7 @@ pub mod prelude {
     pub use crate::counters::Counters;
     pub use crate::driver::{Driver, StageReport};
     pub use crate::error::MrError;
-    pub use crate::exec::{
-        ChunkedExecutor, CursorExecutor, Executor, ExecutorKind, WorkStealingExecutor,
-    };
+    pub use crate::exec::dispatch;
     pub use crate::extsort::{ExternalSorter, SortedStream, SpillFullPolicy};
     pub use crate::faults::{AttemptFault, FaultPlan, InjectedAbort, SpeculationConfig};
     // Storage-fault vocabulary, re-exported so spill consumers configure
@@ -148,8 +149,8 @@ pub mod prelude {
         PhaseReport, WallPhases,
     };
     pub use crate::shuffle::{
-        shuffle_partitions, shuffle_partitions_spilling, shuffle_partitions_spilling_with,
-        shuffle_partitions_with, GroupedPartition, ShuffleSpillConfig, ShuffleSpillStats,
+        shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, ShuffleSpillConfig,
+        ShuffleSpillStats,
     };
     pub use crate::spill::SpillCodec;
     pub use pper_vfs::{

@@ -1,12 +1,11 @@
 //! The job executor: splits input, runs map tasks, shuffles, runs reduce
 //! tasks, and assembles virtual-time reports.
 //!
-//! Simulated tasks are executed on a pool of OS threads through the job's
-//! pluggable [`crate::exec::Executor`] backend (shared-cursor chunked claim
-//! by default, work stealing on request), so wall-clock parallelism is
-//! real; but the *reported* phase durations come from the per-task virtual
-//! clocks combined with list scheduling over the simulated cluster's slots
-//! ([`crate::cost::virtual_makespan`]). This separation lets a laptop
+//! Simulated tasks are executed on a pool of OS threads through
+//! [`crate::exec::dispatch`] (a shared cursor claimed in adaptive chunks),
+//! so wall-clock parallelism is real; but the *reported* phase durations
+//! come from the per-task virtual clocks combined with list scheduling over
+//! the simulated cluster's slots ([`crate::cost::virtual_makespan`]). This separation lets a laptop
 //! faithfully reproduce curves for a 25-machine cluster.
 //!
 //! ## Fault tolerance
@@ -33,7 +32,7 @@ use parking_lot::Mutex;
 use crate::cost::{list_schedule_starts, virtual_makespan};
 use crate::counters::Counters;
 use crate::error::MrError;
-use crate::exec::ExecutorKind;
+use crate::exec::dispatch;
 use crate::faults::InjectedAbort;
 use crate::job::{
     Combiner, Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind,
@@ -43,7 +42,7 @@ use crate::observe::{AttemptRecord, TaskEvent};
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::progress::ProgressEvent;
 use crate::shuffle::{
-    shuffle_partitions_spilling_with, shuffle_partitions_with, GroupedPartition, PartitionBuckets,
+    shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, PartitionBuckets,
     ShuffleSpillConfig, ShuffleSpillStats,
 };
 
@@ -332,12 +331,12 @@ fn run_one_task<T>(
 }
 
 /// Run `count` simulated tasks (index-addressed) on up to `threads` OS
-/// threads, collecting per-task [`TaskRun`]s in index order. Dispatch goes
-/// through the job's configured [`crate::exec::Executor`] backend; every
-/// backend runs each index exactly once and barriers before returning, so
-/// the index-order collection below (and therefore every observable) is
-/// identical across backends. Each task internally retries per the job's
-/// fault plan ([`run_one_task`]); the first task-level error aborts the job.
+/// threads, collecting per-task [`TaskRun`]s in index order. [`dispatch`]
+/// runs each index exactly once and barriers before returning, so the
+/// index-order collection below (and therefore every observable) is
+/// identical at every thread count. Each task internally retries per the
+/// job's fault plan ([`run_one_task`]); the first task-level error aborts
+/// the job.
 fn run_tasks<T: Send>(
     cfg: &JobConfig,
     count: usize,
@@ -348,7 +347,7 @@ fn run_tasks<T: Send>(
     // Per-index result slot a worker publishes into (None until its task ran).
     type TaskSlot<T> = Mutex<Option<Result<TaskRun<T>, TaskFailure>>>;
     let results: Vec<TaskSlot<T>> = (0..count).map(|_| Mutex::new(None)).collect();
-    cfg.executor.run(count, threads, &|idx| {
+    dispatch(count, threads, &|idx| {
         *results[idx].lock() = Some(run_one_task(cfg, kind, idx, &f));
     });
 
@@ -554,7 +553,7 @@ where
             &HashPartitioner,
             None::<&IdentityCombiner<M::Key, M::Value>>,
             inputs,
-            |per, threads| shuffle_partitions_spilling_with(cfg.executor, per, threads, spill),
+            |per, threads| shuffle_partitions_spilling(per, threads, spill),
         );
         match result {
             Err(MrError::Io(fault)) if !fault.is_permanent() && reruns + 1 < attempts => {
@@ -591,7 +590,7 @@ where
         &HashPartitioner,
         Some(combiner),
         inputs,
-        |per, threads| in_memory_shuffle(cfg.executor, per, threads),
+        in_memory_shuffle,
     )
 }
 
@@ -617,15 +616,13 @@ where
         partitioner,
         None::<&IdentityCombiner<M::Key, M::Value>>,
         inputs,
-        |per, threads| in_memory_shuffle(cfg.executor, per, threads),
+        in_memory_shuffle,
     )
 }
 
 /// The default grouping strategy for [`execute`]: the fully in-memory
-/// parallel tag sort, never spilling, fanned out on the job's configured
-/// executor backend.
+/// parallel tag sort, never spilling.
 fn in_memory_shuffle<K, V>(
-    executor: ExecutorKind,
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
 ) -> Result<(Vec<GroupedPartition<K, V>>, ShuffleSpillStats), MrError>
@@ -634,7 +631,7 @@ where
     V: Send,
 {
     Ok((
-        shuffle_partitions_with(executor, per_partition, threads),
+        shuffle_partitions(per_partition, threads),
         ShuffleSpillStats::default(),
     ))
 }

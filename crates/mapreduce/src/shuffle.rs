@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use pper_vfs::{RetryPolicy, Vfs};
 
 use crate::error::MrError;
-use crate::exec::ExecutorKind;
+use crate::exec::dispatch;
 use crate::extsort::{ExternalSorter, SpillFullPolicy};
 use crate::fxhash::FxHashMap;
 use crate::spill::SpillCodec;
@@ -221,8 +221,14 @@ impl<K: Eq, V> GroupedPartition<K, V> {
     }
 }
 
-/// Sort+group every partition on up to `threads` worker threads with the
-/// default [`ExecutorKind::Cursor`] backend. See [`shuffle_partitions_with`].
+/// Sort+group every partition on up to `threads` worker threads.
+///
+/// `per_partition[p]` holds partition `p`'s buckets in map-task order.
+/// Partitions are fanned out through [`dispatch`] exactly like the
+/// runtime's task phases; results land in partition order regardless of
+/// the thread count (per-index slots, collected post-barrier).
+/// Deliberately *no* [`crate::job::TaskContext`] and no virtual charges —
+/// see the module docs.
 pub fn shuffle_partitions<K, V>(
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
@@ -231,44 +237,17 @@ where
     K: Ord + Hash + Eq + Send,
     V: Send,
 {
-    shuffle_partitions_with(ExecutorKind::default(), per_partition, threads)
-}
-
-/// Sort+group every partition on up to `threads` worker threads.
-///
-/// `per_partition[p]` holds partition `p`'s buckets in map-task order.
-/// Partitions are dispatched through the given executor backend exactly
-/// like the runtime's task phases; results land in partition order
-/// regardless of the backend (per-index slots, collected post-barrier).
-/// Deliberately *no* [`crate::job::TaskContext`] and no virtual charges —
-/// see the module docs.
-pub fn shuffle_partitions_with<K, V>(
-    executor: ExecutorKind,
-    per_partition: Vec<PartitionBuckets<K, V>>,
-    threads: usize,
-) -> Vec<GroupedPartition<K, V>>
-where
-    K: Ord + Hash + Eq + Send,
-    V: Send,
-{
     let count = per_partition.len();
-    let threads = threads.max(1).min(count.max(1));
-    if threads == 1 {
-        return per_partition
-            .into_iter()
-            .map(GroupedPartition::from_buckets)
-            .collect();
-    }
     let work: Vec<Mutex<Option<PartitionBuckets<K, V>>>> = per_partition
         .into_iter()
         .map(|p| Mutex::new(Some(p)))
         .collect();
     let done: Vec<Mutex<Option<GroupedPartition<K, V>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
-    executor.run(count, threads, &|idx| {
-        // The executor hands each index to exactly one worker, so the
-        // slot is always occupied here; `from_buckets` on an empty
-        // bucket list is the benign fallback rather than a panic.
+    dispatch(count, threads, &|idx| {
+        // `dispatch` hands each index to exactly one worker, so the slot
+        // is always occupied here; `from_buckets` on an empty bucket list
+        // is the benign fallback rather than a panic.
         if let Some(buckets) = work[idx].lock().take() {
             *done[idx].lock() = Some(GroupedPartition::from_buckets(buckets));
         }
@@ -495,8 +474,10 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
     }
 }
 
-/// [`shuffle_partitions_spilling_with`] on the default
-/// [`ExecutorKind::Cursor`] backend.
+/// [`shuffle_partitions`] under a memory budget: per-partition grouping
+/// routes through [`GroupedPartition::from_buckets_spilling`], fanned out
+/// through [`dispatch`]. Bit-identical partitions to the in-memory shuffle
+/// at any thread count; the lowest-index partition error wins.
 pub fn shuffle_partitions_spilling<K, V>(
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
@@ -506,46 +487,19 @@ where
     K: Ord + Hash + Eq + Send + SpillCodec,
     V: Send + SpillCodec,
 {
-    shuffle_partitions_spilling_with(ExecutorKind::default(), per_partition, threads, cfg)
-}
-
-/// [`shuffle_partitions_with`] under a memory budget: per-partition
-/// grouping routes through [`GroupedPartition::from_buckets_spilling`],
-/// fanned out through the given executor backend. Bit-identical partitions
-/// to the in-memory shuffle at any thread count and on any backend.
-pub fn shuffle_partitions_spilling_with<K, V>(
-    executor: ExecutorKind,
-    per_partition: Vec<PartitionBuckets<K, V>>,
-    threads: usize,
-    cfg: &ShuffleSpillConfig,
-) -> Result<(Vec<GroupedPartition<K, V>>, ShuffleSpillStats), MrError>
-where
-    K: Ord + Hash + Eq + Send + SpillCodec,
-    V: Send + SpillCodec,
-{
     let count = per_partition.len();
-    let threads = threads.max(1).min(count.max(1));
-    let mut stats = ShuffleSpillStats::default();
-    if threads == 1 {
-        let mut out = Vec::with_capacity(count);
-        for buckets in per_partition {
-            let (grouped, s) = GroupedPartition::from_buckets_spilling(buckets, cfg)?;
-            stats.absorb(s);
-            out.push(grouped);
-        }
-        return Ok((out, stats));
-    }
     let work: Vec<Mutex<Option<PartitionBuckets<K, V>>>> = per_partition
         .into_iter()
         .map(|p| Mutex::new(Some(p)))
         .collect();
     type SpillSlot<K, V> = Option<Result<(GroupedPartition<K, V>, ShuffleSpillStats), MrError>>;
     let done: Vec<Mutex<SpillSlot<K, V>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    executor.run(count, threads, &|idx| {
+    dispatch(count, threads, &|idx| {
         if let Some(buckets) = work[idx].lock().take() {
             *done[idx].lock() = Some(GroupedPartition::from_buckets_spilling(buckets, cfg));
         }
     });
+    let mut stats = ShuffleSpillStats::default();
     let mut out = Vec::with_capacity(count);
     for slot in done {
         match slot.into_inner() {

@@ -1,31 +1,18 @@
-//! Bit-level determinism of whole jobs across executor backends *and*
-//! worker-thread counts.
+//! Bit-level determinism of whole jobs across worker-thread counts.
 //!
-//! The executor seam (`exec::ExecutorKind`) only decides which OS thread
-//! runs which simulated task and in what wall-clock order; every backend
-//! publishes results into caller-owned per-index slots and the driver
-//! collects them in index order after the barrier. So the one property that
-//! makes the backends interchangeable is: nothing observable may depend on
-//! the backend or the thread count. These tests run the same five job
-//! shapes — plain, with a combiner, with whole-key shuffle balancing, under
-//! a fault plan, and with a spilling shuffle — across the full
-//! backend × thread-count matrix and demand byte-identical outputs,
-//! counters, timelines, and virtual costs, plus a property test that steal
-//! order never leaks into observables.
+//! `exec::dispatch` only decides which OS thread runs which simulated task
+//! and in what wall-clock order; every task publishes its result into a
+//! caller-owned per-index slot and the driver collects them in index order
+//! after the barrier. So nothing observable may depend on the thread
+//! count. These tests run the same five job shapes — plain, with a
+//! combiner, with whole-key shuffle balancing, under a fault plan, and
+//! with a spilling shuffle — at 1, 2 and 8 worker threads and demand
+//! byte-identical outputs, counters, timelines, and virtual costs, plus a
+//! property test that claim order never leaks into observables.
 
 use proptest::prelude::*;
 
 use pper_mapreduce::prelude::*;
-
-/// Every backend the matrix covers: the adaptive-chunk cursor (default),
-/// the historical one-index-per-claim cursor, a fixed mid-size chunk, and
-/// the work-stealing deques.
-const BACKENDS: &[ExecutorKind] = &[
-    ExecutorKind::Cursor,
-    ExecutorKind::Chunked(1),
-    ExecutorKind::Chunked(16),
-    ExecutorKind::WorkStealing,
-];
 
 const THREADS: &[usize] = &[1, 2, 8];
 
@@ -73,17 +60,16 @@ impl Reducer for Sum {
 }
 
 /// Zipf-ish corpus: a few very hot words plus a long tail, so per-task
-/// costs are skewed enough that stealing actually engages.
+/// costs are skewed enough that workers finish out of index order.
 fn corpus(lines: usize) -> Vec<String> {
     (0..lines)
         .map(|i| format!("the of w{} the w{} tail{}", i % 7, i % 63, i))
         .collect()
 }
 
-fn cfg(executor: ExecutorKind, threads: usize) -> JobConfig {
+fn cfg(threads: usize) -> JobConfig {
     let mut cfg = JobConfig::new("exec-determinism", ClusterSpec::paper(4));
     cfg.worker_threads = Some(threads);
-    cfg.executor = executor;
     cfg
 }
 
@@ -113,56 +99,42 @@ fn observables(r: &JobResult<(String, u64)>) -> impl PartialEq + std::fmt::Debug
     )
 }
 
-/// Run `job` across the whole backend × thread matrix and demand every cell
-/// matches the reference cell (cursor backend, one thread).
-fn assert_matrix_identical(
-    job: impl Fn(ExecutorKind, usize) -> JobResult<(String, u64)>,
-    spill_counters: bool,
-) {
-    let base = job(ExecutorKind::Cursor, 1);
+/// Run `job` at every thread count and demand each run matches the
+/// one-thread reference.
+fn assert_threads_identical(job: impl Fn(usize) -> JobResult<(String, u64)>, spill_counters: bool) {
+    let base = job(1);
     if spill_counters {
         assert!(
             base.counters.get("shuffle_spilled_partitions") > 0,
-            "spill never engaged; the spilling cell would be vacuous"
+            "spill never engaged; the spilling check would be vacuous"
         );
     }
-    for &backend in BACKENDS {
-        for &threads in THREADS {
-            let r = job(backend, threads);
-            assert_eq!(
-                observables(&base),
-                observables(&r),
-                "backend={} worker_threads={threads}",
-                backend.name()
-            );
-        }
+    for &threads in THREADS {
+        let r = job(threads);
+        assert_eq!(
+            observables(&base),
+            observables(&r),
+            "worker_threads={threads}"
+        );
     }
 }
 
 #[test]
-fn plain_job_identical_across_backends() {
+fn plain_job_identical_across_threads() {
     let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            run_job(
-                &cfg(backend, threads),
-                &WordMapper,
-                &GroupReducer::new(Sum),
-                &input,
-            )
-            .unwrap()
-        },
+    assert_threads_identical(
+        |threads| run_job(&cfg(threads), &WordMapper, &GroupReducer::new(Sum), &input).unwrap(),
         false,
     );
 }
 
 #[test]
-fn combiner_job_identical_across_backends() {
+fn combiner_job_identical_across_threads() {
     let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
+    assert_threads_identical(
+        |threads| {
             run_job_with_combiner(
-                &cfg(backend, threads),
+                &cfg(threads),
                 &WordMapper,
                 &SumCombiner,
                 &GroupReducer::new(Sum),
@@ -175,11 +147,11 @@ fn combiner_job_identical_across_backends() {
 }
 
 #[test]
-fn balanced_shuffle_identical_across_backends() {
+fn balanced_shuffle_identical_across_threads() {
     let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            let mut c = cfg(backend, threads);
+    assert_threads_identical(
+        |threads| {
+            let mut c = cfg(threads);
             c.shuffle_balance = Some(ShuffleBalance::Pairs);
             run_job(&c, &WordMapper, &GroupReducer::new(Sum), &input).unwrap()
         },
@@ -188,11 +160,11 @@ fn balanced_shuffle_identical_across_backends() {
 }
 
 #[test]
-fn faulty_job_identical_across_backends() {
+fn faulty_job_identical_across_threads() {
     let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            let mut c = cfg(backend, threads);
+    assert_threads_identical(
+        |threads| {
+            let mut c = cfg(threads);
             c.faults = Some(FaultPlan::fail_reduce(0, 2));
             let r = run_job(&c, &WordMapper, &GroupReducer::new(Sum), &input).unwrap();
             assert_eq!(r.counters.get("task_retries"), 2);
@@ -203,15 +175,15 @@ fn faulty_job_identical_across_backends() {
 }
 
 #[test]
-fn spilling_job_identical_across_backends() {
+fn spilling_job_identical_across_threads() {
     let input = corpus(400);
     // A 60-record budget forces most partitions of this corpus to spill,
-    // so the executor also drives the external-sort dispatch path.
+    // so the dispatcher also drives the external-sort path.
     let spill = ShuffleSpillConfig::new(60);
-    assert_matrix_identical(
-        |backend, threads| {
+    assert_threads_identical(
+        |threads| {
             run_job_spilling(
-                &cfg(backend, threads),
+                &cfg(threads),
                 &WordMapper,
                 &GroupReducer::new(Sum),
                 &spill,
@@ -226,29 +198,28 @@ fn spilling_job_identical_across_backends() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    // Steal order is the one scheduling freedom the work-stealing backend
-    // adds over the cursor pool; whatever corpus shape the generator picks,
-    // a stolen-range execution at 8 threads must be bit-identical to the
-    // inline single-thread reference.
+    // Claim order is the one scheduling freedom the cursor pool has;
+    // whatever corpus shape the generator picks, an 8-thread run must be
+    // bit-identical to the inline single-thread reference.
     #[test]
-    fn prop_steal_order_never_leaks(lines in 1usize..300, hot in 1usize..9) {
+    fn prop_claim_order_never_leaks(lines in 1usize..300, hot in 1usize..9) {
         let input: Vec<String> = (0..lines)
             .map(|i| format!("hot{} mid{} tail{i}", i % hot, i % 31))
             .collect();
         let base = run_job(
-            &cfg(ExecutorKind::Cursor, 1),
+            &cfg(1),
             &WordMapper,
             &GroupReducer::new(Sum),
             &input,
         )
         .unwrap();
-        let stolen = run_job(
-            &cfg(ExecutorKind::WorkStealing, 8),
+        let parallel = run_job(
+            &cfg(8),
             &WordMapper,
             &GroupReducer::new(Sum),
             &input,
         )
         .unwrap();
-        prop_assert_eq!(observables(&base), observables(&stolen));
+        prop_assert_eq!(observables(&base), observables(&parallel));
     }
 }

@@ -176,7 +176,8 @@ impl PlanTree {
         };
 
         // Remove the split indices from this tree (compact + remap).
-        // lint:allow(panic_path) split targets are chosen below the root by the caller; a rootless parent is a plan-construction bug worth stopping on
+        // Split targets are chosen below the root by the caller; a rootless
+        // parent is a plan-construction bug worth stopping on.
         let parent_of_sub = self.nodes[sub_root].parent.expect("non-root has parent");
         self.nodes[parent_of_sub]
             .children

@@ -22,7 +22,7 @@ use pper::er::{
     ErRunResult, MechanismKind, ProgressiveEr, ResultFingerprint,
 };
 use pper::journal::{recover, FileStore, JournalState, JournalStore};
-use pper::mapreduce::{ExecutorKind, FaultPlan};
+use pper::mapreduce::FaultPlan;
 use pper::schedule::TreeScheduler;
 
 fn main() -> ExitCode {
@@ -66,20 +66,19 @@ USAGE:
   pper gen    --kind pubs|books --entities N [--seed S] --out FILE
   pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
               [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-              [--executor cursor|chunked[:K]|stealing]
               [--durable --journal DIR --job-id ID [--checkpoint-every COST]
                [--kill-after-events N] [--fail-reduce IDX:N] [--result-out FILE]]
   pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
               [--kill-after-events N]
   pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
   pper basic  --data FILE [--machines M] [--window W] [--threshold T]
-              [--executor cursor|chunked[:K]|stealing]
   pper help
 
-Durable mode journals every job event (fsync'd per append) under
---journal DIR; `resume` continues a killed job bit-identically in a fresh
-process, and `dlq` lists or reprocesses tasks that exhausted their attempt
-budget.";
+Simulated tasks run on all available cores; results are bit-identical at
+any thread count. Durable mode journals every job event (fsync'd per
+append) under --journal DIR; `resume` continues a killed job
+bit-identically in a fresh process, and `dlq` lists or reprocesses tasks
+that exhausted their attempt budget.";
 
 #[derive(Default)]
 struct Opts {
@@ -103,7 +102,6 @@ struct Opts {
     fail_reduce: Option<String>,
     result_out: Option<String>,
     reprocess: bool,
-    executor: Option<String>,
 }
 
 impl Opts {
@@ -135,7 +133,6 @@ impl Opts {
                 "--checkpoint-every" => opts.checkpoint_every = Some(parse(&take()?)?),
                 "--kill-after-events" => opts.kill_after_events = Some(parse(&take()?)?),
                 "--fail-reduce" => opts.fail_reduce = Some(take()?),
-                "--executor" => opts.executor = Some(take()?),
                 "--result-out" => opts.result_out = Some(take()?),
                 "--reprocess" => opts.reprocess = true,
                 other => return Err(format!("unknown flag '{other}'")),
@@ -219,7 +216,6 @@ fn build_run_config(
     mechanism: Option<&str>,
     scheduler: Option<&str>,
     fail_reduce: Option<&str>,
-    executor: Option<&str>,
 ) -> Result<ErConfig, String> {
     let mut config = config_for(ds, machines)?;
     if let Some(m) = mechanism {
@@ -243,9 +239,6 @@ fn build_run_config(
             .split_once(':')
             .ok_or_else(|| format!("--fail-reduce wants IDX:N, got '{spec}'"))?;
         config.faults = Some(FaultPlan::fail_reduce(parse(idx)?, parse(n)?));
-    }
-    if let Some(e) = executor {
-        config.executor = ExecutorKind::parse(e)?;
     }
     Ok(config)
 }
@@ -285,7 +278,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         opts.mechanism.as_deref(),
         opts.scheduler.as_deref(),
         opts.fail_reduce.as_deref(),
-        opts.executor.as_deref(),
     )?;
     println!(
         "dataset {} ({} entities, {} true pairs); μ = {machines}, mechanism {}, scheduler {:?}",
@@ -312,7 +304,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             ("mechanism", opts.mechanism.as_deref()),
             ("scheduler", opts.scheduler.as_deref()),
             ("fail_reduce", opts.fail_reduce.as_deref()),
-            ("executor", opts.executor.as_deref()),
         ] {
             if let Some(v) = val {
                 params.push((key.into(), v.to_string()));
@@ -400,7 +391,6 @@ fn rebuild_pipeline(opts: &Opts, state: &JournalState) -> Result<(Dataset, Progr
         state.param("mechanism"),
         state.param("scheduler"),
         state.param("fail_reduce"),
-        state.param("executor"),
     )?;
     Ok((ds, ProgressiveEr::new(config)))
 }
@@ -458,10 +448,7 @@ fn cmd_dlq(opts: &Opts) -> Result<(), String> {
 fn cmd_basic(opts: &Opts) -> Result<(), String> {
     let ds = load(opts)?;
     let machines = opts.machines.unwrap_or(4);
-    let mut er = config_for(&ds, machines)?;
-    if let Some(e) = opts.executor.as_deref() {
-        er = er.with_executor(ExecutorKind::parse(e)?);
-    }
+    let er = config_for(&ds, machines)?;
     let window = opts.window.unwrap_or(15);
     let basic = match opts.threshold {
         Some(t) => BasicConfig::popcorn(window, t),

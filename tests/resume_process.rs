@@ -8,14 +8,16 @@
 //! Also covers the process-level dead-letter round trip: a run whose
 //! reduce task exhausts its attempt budget dead-letters it, `pper dlq`
 //! lists the capture, and `pper dlq --reprocess` drains it to the
-//! fault-free golden result.
+//! fault-free golden result; and journals written when `pper run` still
+//! took a backend-selecting flag, whose `JobStarted` parameters carry an
+//! `executor` key that `pper resume` now ignores.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::Arc;
 
 use pper::datagen::PubGen;
-use pper::journal::{recover, FileStore, JournalStore};
+use pper::journal::{recover, FileStore, JobJournal, JournalEvent, JournalState, JournalStore};
 
 const MACHINES: &str = "1";
 const CHECKPOINT_EVERY: &str = "2000";
@@ -52,6 +54,26 @@ fn run_ok(args: &[&str]) -> Output {
     out
 }
 
+/// An uninterrupted durable run writing its fingerprint to `out`.
+fn golden_run(data: &str, journal: &str, job: &str, out: &str) {
+    run_ok(&[
+        "run",
+        "--data",
+        data,
+        "--machines",
+        MACHINES,
+        "--durable",
+        "--journal",
+        journal,
+        "--job-id",
+        job,
+        "--checkpoint-every",
+        CHECKPOINT_EVERY,
+        "--result-out",
+        out,
+    ]);
+}
+
 /// Golden fingerprint + per-boundary kill/resume over every journal event.
 #[test]
 fn kill_at_every_event_boundary_resumes_bit_identically() {
@@ -64,22 +86,7 @@ fn kill_at_every_event_boundary_resumes_bit_identically() {
     let golden_out = golden_path.to_str().unwrap();
 
     // Uninterrupted golden run in a child process.
-    run_ok(&[
-        "run",
-        "--data",
-        data,
-        "--machines",
-        MACHINES,
-        "--durable",
-        "--journal",
-        journal,
-        "--job-id",
-        "golden",
-        "--checkpoint-every",
-        CHECKPOINT_EVERY,
-        "--result-out",
-        golden_out,
-    ]);
+    golden_run(data, journal, "golden", golden_out);
     let golden = std::fs::read(&golden_path).unwrap();
     assert!(!golden.is_empty());
 
@@ -154,22 +161,7 @@ fn dlq_process_round_trip() {
     // Fault-free golden.
     let golden_path = dir.join("golden.json");
     let golden_out = golden_path.to_str().unwrap();
-    run_ok(&[
-        "run",
-        "--data",
-        data,
-        "--machines",
-        MACHINES,
-        "--durable",
-        "--journal",
-        journal,
-        "--job-id",
-        "golden",
-        "--checkpoint-every",
-        CHECKPOINT_EVERY,
-        "--result-out",
-        golden_out,
-    ]);
+    golden_run(data, journal, "golden", golden_out);
     let golden = std::fs::read(&golden_path).unwrap();
 
     // Reduce task 0 fails 4 attempts — the whole default budget.
@@ -223,4 +215,83 @@ fn dlq_process_round_trip() {
     // Now empty.
     let list = run_ok(&["dlq", "--journal", journal, "--job-id", "faulty"]);
     assert!(String::from_utf8_lossy(&list.stdout).contains("empty"));
+}
+
+/// Journals from before the executor backends were removed carry an
+/// `executor=…` parameter in `JobStarted`. `pper resume` must ignore it and
+/// finish the job bit-identically to the uninterrupted run.
+#[test]
+fn old_journal_with_executor_param_resumes_bit_identically() {
+    let dir = tmp_dir("resume-old-executor");
+    let data = write_dataset(&dir);
+    let data = data.to_str().unwrap();
+    let journal = dir.join("journal");
+    let journal = journal.to_str().unwrap();
+    let golden_path = dir.join("golden.json");
+    golden_run(data, journal, "golden", golden_path.to_str().unwrap());
+    let golden = std::fs::read(&golden_path).unwrap();
+
+    let store: Arc<dyn JournalStore> = FileStore::shared(journal).unwrap();
+    let events = recover(&store, "golden").unwrap().events;
+    let cut = events.len() / 2;
+    assert!(
+        cut >= 2,
+        "want a mid-run prefix, journal has {} events",
+        events.len()
+    );
+
+    for executor in ["stealing", "chunked:16"] {
+        // Re-journal the first half of the golden run under a new job id,
+        // with the legacy parameter added to `JobStarted` exactly as the
+        // old `pper run --durable` recorded it.
+        let job = format!("old-{}", executor.replace(':', "-"));
+        let mut old = JobJournal::create(store.clone(), &job).unwrap();
+        for (_, event) in &events[..cut] {
+            let event = match event {
+                JournalEvent::JobStarted { params, .. } => {
+                    let mut params = params.clone();
+                    params.push(("executor".into(), executor.into()));
+                    JournalEvent::JobStarted {
+                        job_id: job.clone(),
+                        params,
+                    }
+                }
+                other => other.clone(),
+            };
+            old.append(&event).unwrap();
+        }
+        let state = JournalState::replay(&recover(&store, &job).unwrap().events);
+        assert_eq!(state.param("executor"), Some(executor));
+
+        let out_path = dir.join(format!("{job}.json"));
+        run_ok(&[
+            "resume",
+            "--journal",
+            journal,
+            "--job-id",
+            &job,
+            "--result-out",
+            out_path.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            std::fs::read(&out_path).unwrap(),
+            golden,
+            "executor={executor}: resumed fingerprint diverged from golden"
+        );
+    }
+}
+
+/// The backend flag is gone: asking for one is a usage error, not a
+/// silently ignored option.
+#[test]
+fn executor_flag_is_rejected() {
+    for command in ["run", "basic"] {
+        let out = pper(&[command, "--executor", "cursor"]);
+        assert!(!out.status.success(), "pper {command} --executor must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag '--executor'"),
+            "pper {command}: {stderr}"
+        );
+    }
 }
